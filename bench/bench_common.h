@@ -257,8 +257,9 @@ inline void Banner(const char* artifact, const char* description) {
   std::printf("==============================================================="
               "=================\n");
   std::printf("%s — %s\n", artifact, description);
-  std::printf("(scaled-down defaults; see EXPERIMENTS.md for paper-scale "
-              "flags and shape notes)\n");
+  std::printf("(scaled-down defaults; see README.md \"Benches\" and "
+              "bench/baselines/README.md for paper-scale flags and shape "
+              "notes)\n");
   std::printf("==============================================================="
               "=================\n");
 }

@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -61,13 +60,10 @@ struct MineSpec {
   double window_slack = 1.25;
 };
 
-/// Per-call overrides of the online engine used by a Watch replay; zero /
-/// unset fields fall back to the SessionOptions defaults.
+/// Per-call overrides of the online engine used by a Watch replay; zero
+/// fields fall back to the SessionOptions defaults.
 struct WatchOptions {
   int shards = 0;
-  /// Sharding mode override (see ShardingMode); unset uses
-  /// SessionOptions::watch_sharding.
-  std::optional<ShardingMode> sharding;
   std::size_t batch_size = 0;
   std::size_t max_partials = 0;
 };

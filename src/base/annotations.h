@@ -18,9 +18,9 @@
 /// capability attributes — the analysis can only track acquisitions it can
 /// see. Clang builds add `-Wthread-safety -Werror=thread-safety`
 /// (top-level CMakeLists), so a locking-discipline violation is a build
-/// failure: the PR 7 SpscQueue self-deadlock (re-running a notifying
-/// TGM_EXCLUDES(mu_) ring op from inside the parked wait loop that holds
-/// `mu_`) is exactly the class of bug this rejects at compile time —
+/// failure: the old thread pool's nested-join deadlock (helping run a
+/// TGM_EXCLUDES(wait_mu_) task from inside the wait loop that holds
+/// `wait_mu_`) is exactly the class of bug this rejects at compile time —
 /// `scripts/run_static_analysis.sh --seeded-defect` re-introduces that
 /// pattern and asserts the build fails.
 

@@ -6,10 +6,10 @@
 namespace tgm {
 namespace {
 
-/// Bounded parking interval for join waits, matching the SpscQueue
-/// discipline: a wakeup lost to the sleeper-probe race costs at most one
-/// timeout, never a hang. Joins are latency-critical (a helping thread
-/// re-probes the backlog on every wake), so their bound stays tight.
+/// Bounded parking interval for join waits: a wakeup lost to the
+/// sleeper-probe race costs at most one timeout, never a hang. Joins are
+/// latency-critical (a helping thread re-probes the backlog on every
+/// wake), so their bound stays tight.
 constexpr std::chrono::microseconds kParkTimeout{500};
 
 /// Idle workers park much longer: Enqueue notifies through the sleeper

@@ -15,8 +15,20 @@ Timestamp SaturatingExpiry(Timestamp base, Timestamp horizon) {
   return base + horizon;
 }
 
-}  // namespace
+/// Outcome of testing one live partial against one event.
+enum class ExtendOutcome : std::uint8_t {
+  kReject,    ///< Event cannot extend this partial.
+  kComplete,  ///< Event matches the final edge — a full match.
+  kExtend,    ///< Event matches; the partial grows by one edge.
+};
 
+/// Pure filter: can `event` match transition `next_edge` of `plan` given
+/// the partial's binding and timestamps? Applies the label/self-loop
+/// tests, the timed-automata guards (min/max gap, since-seed bounds),
+/// bound-entity equality, label checks and injectivity for newly bound
+/// entities, and the effective-window span check — in exactly that order.
+/// `window` is the query's effective window (0 = unbounded). Seeds are
+/// not handled here (see CompiledQueryPlan::SeedMatches).
 ExtendOutcome MatchTransition(const CompiledQueryPlan& plan, Timestamp window,
                               const StreamEvent& event,
                               std::uint32_t next_edge,
@@ -78,6 +90,9 @@ ExtendOutcome MatchTransition(const CompiledQueryPlan& plan, Timestamp window,
                                             : ExtendOutcome::kExtend;
 }
 
+/// Writes the binding of the partial produced by matching `matched_edge`
+/// with `event` on top of `base` (empty span = seed, all slots unbound).
+/// `out` must have plan.node_count() entries.
 void FillExtendedBinding(const CompiledQueryPlan& plan,
                          std::uint32_t matched_edge,
                          std::span<const std::int64_t> base,
@@ -94,6 +109,13 @@ void FillExtendedBinding(const CompiledQueryPlan& plan,
   out[static_cast<std::size_t>(t.dst)] = event.dst_entity;
 }
 
+/// Where a partial waiting on `next_edge` files in a PartialTable: under
+/// the concrete entity its next transition requires, or the wildcard
+/// bucket when neither endpoint is bound.
+struct PartialRoute {
+  PartialTable::Role role = PartialTable::Role::kWildcard;
+  std::int64_t key = 0;
+};
 PartialRoute RouteForNextEdge(const CompiledQueryPlan& plan,
                               std::uint32_t next_edge,
                               std::span<const std::int64_t> binding) {
@@ -109,6 +131,10 @@ PartialRoute RouteForNextEdge(const CompiledQueryPlan& plan,
   return route;
 }
 
+/// The stream time at which a partial waiting on `next_edge` with the
+/// given timestamps becomes provably dead: the window horizon, tightened
+/// (under `guard_expiry`, for constrained plans) by the next transition's
+/// max_gap and the suffix-min seed horizon of the remaining transitions.
 Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
                                Timestamp window, bool guard_expiry,
                                std::uint32_t next_edge, Timestamp first_ts,
@@ -129,6 +155,8 @@ Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
   }
   return expiry;
 }
+
+}  // namespace
 
 void QueryRuntime::Advance(const StreamEvent& event,
                            std::vector<Interval>* completions) {

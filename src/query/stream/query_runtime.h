@@ -40,75 +40,18 @@ struct StreamLimits {
   bool guard_expiry = true;
 };
 
-/// --- Shared transition semantics --------------------------------------
-///
-/// The round-robin path (QueryRuntime, below) and the entity-hash path
-/// (EntityShard + the engine's central sequencer) must agree bit-for-bit
-/// on what an event does to a partial. These free functions are that
-/// single definition: both paths call them, so the match/guard/routing
-/// logic cannot drift between sharding modes.
-
-/// Outcome of testing one live partial against one event.
-enum class ExtendOutcome : std::uint8_t {
-  kReject,    ///< Event cannot extend this partial.
-  kComplete,  ///< Event matches the final edge — a full match.
-  kExtend,    ///< Event matches; the partial grows by one edge.
-};
-
-/// Pure filter: can `event` match transition `next_edge` of `plan` given
-/// the partial's binding and timestamps? Applies the label/self-loop
-/// tests, the timed-automata guards (min/max gap, since-seed bounds),
-/// bound-entity equality, label checks and injectivity for newly bound
-/// entities, and the effective-window span check — in exactly that order.
-/// `window` is the query's effective window (0 = unbounded). Seeds are
-/// not handled here (see CompiledQueryPlan::SeedMatches).
-ExtendOutcome MatchTransition(const CompiledQueryPlan& plan, Timestamp window,
-                              const StreamEvent& event,
-                              std::uint32_t next_edge,
-                              std::span<const std::int64_t> binding,
-                              Timestamp first_ts, Timestamp last_ts);
-
-/// Writes the binding of the partial produced by matching `matched_edge`
-/// with `event` on top of `base` (empty span = seed, all slots unbound).
-/// `out` must have plan.node_count() entries.
-void FillExtendedBinding(const CompiledQueryPlan& plan,
-                         std::uint32_t matched_edge,
-                         std::span<const std::int64_t> base,
-                         const StreamEvent& event,
-                         std::span<std::int64_t> out);
-
-/// Where a partial waiting on `next_edge` files in a PartialTable: under
-/// the concrete entity its next transition requires (the entity-hash
-/// routing key), or the wildcard bucket when neither endpoint is bound.
-struct PartialRoute {
-  PartialTable::Role role = PartialTable::Role::kWildcard;
-  std::int64_t key = 0;
-};
-PartialRoute RouteForNextEdge(const CompiledQueryPlan& plan,
-                              std::uint32_t next_edge,
-                              std::span<const std::int64_t> binding);
-
-/// The stream time at which a partial waiting on `next_edge` with the
-/// given timestamps becomes provably dead: the window horizon, tightened
-/// (under `guard_expiry`, for constrained plans) by the next transition's
-/// max_gap and the suffix-min seed horizon of the remaining transitions.
-Timestamp ComputePartialExpiry(const CompiledQueryPlan& plan,
-                               Timestamp window, bool guard_expiry,
-                               std::uint32_t next_edge, Timestamp first_ts,
-                               Timestamp last_ts);
-
 /// One registered behaviour query's live state: compiled plan (with any
 /// timed-automata guards baked in), the entity-indexed partial table, and
 /// the emitted-interval dedup set.
 ///
-/// `Advance` preserves the original StreamMonitor semantics exactly —
-/// expiry before extension, in-place extension with a pending list (an
-/// extension is never re-extended by the event that created it), strict
-/// injectivity, window check on the extended span, one alert per distinct
-/// interval — while touching only the partials the event's entities can
-/// extend. Constraint guards are enforced at the same point as the window
-/// check (a guarded extension simply rejects), so a trivial
-/// TemporalConstraints is bit-identical to the unconstrained path.
+/// `Advance` applies one event: expiry before extension, in-place
+/// extension with a pending list (an extension is never re-extended by
+/// the event that created it), strict injectivity, window check on the
+/// extended span, one alert per distinct interval — while touching only
+/// the partials the event's entities can extend. Constraint guards are
+/// enforced at the same point as the window check (a guarded extension
+/// simply rejects), so a trivial TemporalConstraints is bit-identical to
+/// the unconstrained path.
 /// Completions are reported sorted by interval, which makes the per-event
 /// alert order a pure function of the event history (the engine's
 /// canonical (ts, query, interval) order).
@@ -145,8 +88,6 @@ class QueryRuntime {
   void Advance(const StreamEvent& event, std::vector<Interval>* completions);
 
  private:
-  static constexpr std::int64_t kUnbound = kUnboundEntity;
-
   void TryExtend(const StreamEvent& event, std::uint32_t slot,
                  std::vector<Interval>* completions);
   void TrySeed(const StreamEvent& event, std::vector<Interval>* completions);

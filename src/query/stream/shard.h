@@ -33,11 +33,8 @@ struct ShardAlert {
 /// once and tests the intersection bit per idle query — no expiry scan, no
 /// index probe, no seed test. The decision is a pure per-query function of
 /// the event, so skipping changes no alert or stat other than the
-/// `seed_skips` counter itself.
-///
-/// Used over *local* query slots by each round-robin StreamShard, and over
-/// *global* query indexes by the entity-hash engine's central sequencer —
-/// one implementation so the two sharding modes cannot drift.
+/// `seed_skips` counter itself. Each StreamShard keeps one over its local
+/// query slots.
 class SeedDispatchIndex {
  public:
   using Bitmap = std::vector<std::uint64_t>;
@@ -99,7 +96,7 @@ class SeedDispatchIndex {
   std::size_t words_ = 0;
 };
 
-/// One worker shard of the round-robin stream engine: a disjoint subset of
+/// One worker shard of the stream engine: a disjoint subset of
 /// the registered queries plus all of their live state. Every shard sees
 /// the full event batch (events are broadcast; queries are partitioned),
 /// so a query's state evolution is identical no matter how many shards the

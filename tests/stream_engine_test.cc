@@ -2,6 +2,7 @@
 // the entity-keyed partial index vs. the legacy full-scan path,
 // out-of-order input handling, backpressure (oldest-first eviction with
 // per-query drop accounting), batching/Flush, and the EngineStats surface.
+// The synchronous engine's matching semantics are in stream_monitor_test.
 
 #include "query/stream/engine.h"
 
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "query/stream/compiled_plan.h"
-#include "query/stream_monitor.h"
 #include "test_util.h"
 
 namespace tgm {
@@ -76,6 +76,8 @@ TEST(CompiledQueryPlanTest, SeedMatchesChecksLabelsAndLoopShape) {
   EXPECT_FALSE(plan.SeedMatches(Ev(7, 7, 0, 1, 5)));   // loop vs non-loop
   EXPECT_FALSE(plan.SeedMatches(Ev(7, 8, 0, 1, 5, 3)));  // edge label
 }
+
+// --- Index, batching, backpressure and stats ---------------------------
 
 TEST(StreamEngineTest, IndexedPathMatchesFullScanPath) {
   // The entity-keyed index is a pure acceleration structure in the
@@ -184,17 +186,6 @@ TEST(StreamEngineTest, OutOfOrderTimestampClampedAndCounted) {
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].interval, (Interval{50, 50}));
   EXPECT_EQ(engine.Stats().out_of_order_events, 1);
-}
-
-TEST(StreamEngineTest, MonitorFacadeSurfacesOutOfOrderCounter) {
-  StreamMonitor::Options options;
-  options.window = 100;
-  StreamMonitor monitor(options);
-  monitor.AddQuery(MakePattern({0, 1}, {{0, 1}}));
-  monitor.OnEvent(Ev(1, 2, 0, 1, 10), [](const StreamAlert&) {});
-  EXPECT_EQ(monitor.out_of_order_events(), 0);
-  monitor.OnEvent(Ev(1, 2, 0, 1, 3), [](const StreamAlert&) {});
-  EXPECT_EQ(monitor.out_of_order_events(), 1);
 }
 
 TEST(StreamEngineTest, BackpressureEvictsOldestFirst) {
